@@ -69,10 +69,6 @@ def normalize_phone(label):
     return label.strip().upper().rstrip("012")
 
 
-def is_vowel(label):
-    return normalize_phone(label) in VOWELS
-
-
 def is_silence(label):
     return normalize_phone(label) in SILENCE_LABELS
 

@@ -22,9 +22,9 @@ DEFAULT_VTLP_ALPHAS = (0.9, 0.95, 1.05, 1.1)
 class AugmentSpec:
     """Which augmentation variants to generate per original utterance.
 
-    noise_types maps a noise name to a WAV path, or to None for generated
-    white Gaussian noise. Each family can be disabled by passing an empty
-    collection.
+    noise_types maps a noise name to a WAV path; only "white" may map to
+    None, for generated white Gaussian noise. Each family can be disabled by
+    passing an empty collection.
     """
 
     noise_types: dict = field(default_factory=lambda: {"white": None})
@@ -146,7 +146,8 @@ def expand_manifest(rows, spec, include_originals=True):
 def load_noise_sources(noise_types):
     """Resolve noise name -> AudioBuffer (None for generated white noise).
 
-    Missing or unreadable files degrade to white noise with a warning.
+    A missing or unreadable file maps to None with a warning; such a noise is
+    unavailable, and apply_augmentation refuses it.
     """
     sources = {}
     for name, path in noise_types.items():
@@ -155,8 +156,8 @@ def load_noise_sources(noise_types):
             continue
         try:
             sources[name] = audio_io.load_wav(path)
-        except Exception as exc:  # degrade, never abort
-            warnings.warn(f"noise source {name!r} ({path}): {exc}; using white noise")
+        except Exception as exc:  # warn here; realizing the noise fails later
+            warnings.warn(f"noise source {name!r} ({path}): {exc}; noise unavailable")
             sources[name] = None
     return sources
 
@@ -166,12 +167,15 @@ def apply_augmentation(audio, aug_type, aug_param, aug_seed, noise_sources=None)
 
     VTLP is feature-domain; for it this returns the audio unchanged and the
     caller must extract features with the filterbank from vtlp_filterbank.
+    A named noise other than white needs its AudioBuffer in noise_sources.
     """
     if aug_type in ("none", "", "vtlp"):
         return audio
     if aug_type == "noise":
         name, snr = aug_param.rsplit("@", 1)
         source = (noise_sources or {}).get(name)
+        if source is None and name != "white":
+            raise ConfigError(f"noise {name!r} has no source WAV; only white is generated")
         return add_noise_at_snr(audio, source, float(snr), seed=aug_seed)
     if aug_type == "rate":
         return change_rate(audio, float(aug_param))

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import __version__, alignment, augment, features, manifest, nn, pipeline, regressor
 from . import scoring, stats
-from .errors import ManifestError, OhmError
+from .errors import ConfigError, ManifestError, OhmError
 from .preprocess import PreprocessConfig
 
 
@@ -289,6 +289,8 @@ def cmd_augment(args, config):
     noise_types = {"white": None}
     for item in args.noise or []:
         name, _, path = item.partition("=")
+        if name != "white" and not path:
+            raise ConfigError(f"--noise {item!r}: only white is built in; give {name}=PATH.wav")
         noise_types[name] = path or None
     spec = augment.AugmentSpec(
         noise_types=noise_types,
@@ -308,7 +310,8 @@ def cmd_augment(args, config):
         args.manifest_out,
         out_rows,
         header_comment=f"ohm-speech {__version__} seed={seed} "
-        f"variants_per_row={spec.variants_per_row()}",
+        f"variants_per_row={spec.variants_per_row()}\n"
+        + manifest.noise_header({k: v for k, v in noise_types.items() if v is not None}),
     )
     print(f"{len(rows)} rows -> {len(out_rows)} rows "
           f"({spec.variants_per_row()} variants per original)")
@@ -330,12 +333,12 @@ def cmd_train_regressor(args, config):
     records = stats.load_ratings_csv(args.ratings)
     ratings = {r.speaker_id: r.ground_truth for r in records}
 
-    noise_sources = None
+    noise_sources = augment.load_noise_sources(manifest.read_noise_paths(args.manifest))
+    unavailable = sorted(name for name, src in noise_sources.items() if src is None)
+    if unavailable:
+        raise ConfigError(f"{args.manifest}: noise source(s) {unavailable} could not be loaded")
 
     def loader(row):
-        nonlocal noise_sources
-        if noise_sources is None:
-            noise_sources = {}
         return pipeline.extract_row_features(row, mfcc_cfg, noise_sources).vectors
 
     results = regressor.run_loso(rows, ratings, loader, cfg=cfg)

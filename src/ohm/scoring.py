@@ -1,7 +1,7 @@
 """The objective hypernasality measure: frame log posterior ratios and their
 aggregation to sentence and speaker level."""
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

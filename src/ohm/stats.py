@@ -4,7 +4,7 @@ t-test, rater-agreement summaries, and split-half reliability."""
 import csv
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np

@@ -85,3 +85,39 @@ def naive_welch(a, b):
         (va / na) ** 2 / (na - 1) + (vb / nb) ** 2 / (nb - 1)
     )
     return t, dof
+
+
+def _reference_kaiser(x, half_width, beta=8.0):
+    """Continuous Kaiser window, zero outside |x| > half_width."""
+    inside = np.abs(x) <= half_width
+    arg = np.zeros_like(x)
+    arg[inside] = 1.0 - (x[inside] / half_width) ** 2
+    return np.where(inside, np.i0(beta * np.sqrt(arg)) / np.i0(beta), 0.0)
+
+
+def reference_resample(src, source_hz, target_hz, taps=32):
+    """Direct windowed-sinc resampler: 32 Kaiser(beta=8)-sinc taps evaluated
+    afresh for every output sample at its float position j * source/target.
+
+    This is the package's original per-sample implementation, kept as the
+    reference for the polyphase resampler.
+    """
+    src = np.asarray(src, dtype=np.float64)
+    ratio = target_hz / source_hz
+    n_out = int(round(len(src) * ratio))
+    cutoff = min(1.0, ratio)
+    half = taps // 2
+
+    padded = np.concatenate([np.zeros(half + 1), src, np.zeros(half + 1)])
+    out = np.empty(n_out)
+    chunk = 1 << 16
+    for start in range(0, n_out, chunk):
+        idx_out = np.arange(start, min(start + chunk, n_out))
+        t = idx_out / ratio  # center position in input samples
+        base = np.floor(t).astype(np.int64)
+        k = np.arange(-half + 1, half + 1)
+        offsets = base[:, None] + k[None, :]
+        x = offsets - t[:, None]
+        weights = cutoff * np.sinc(cutoff * x) * _reference_kaiser(x, half)
+        out[idx_out] = np.sum(padded[offsets + half + 1] * weights, axis=1)
+    return out

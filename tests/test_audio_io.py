@@ -1,12 +1,17 @@
 import struct
+import sys
+import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ohm.audio_io import AudioBuffer, frame_signal, load_wav, resample, write_wav
 from ohm.errors import AudioFormatError, AudioParseError, ConfigError, EmptyInputError
 
-from oracles import dft_peak_hz
+from oracles import dft_peak_hz, reference_resample
 
 
 def _pcm16_wav_bytes(samples, fs=16000, n_channels=1):
@@ -112,6 +117,73 @@ def test_resample_idempotent_at_target_rate():
     once = resample(buf, 16000)
     twice = resample(once, 16000)
     assert np.max(np.abs(once.samples - twice.samples)) < 1e-6
+
+
+@pytest.mark.parametrize(
+    "source_hz, target_hz",
+    [(16000, 20000), (44100, 55125), (44100, 16000), (48000, 16000), (22050, 27562)],
+)
+def test_resample_matches_reference(source_hz, target_hz):
+    x = np.random.default_rng(source_hz + target_hz).standard_normal(source_hz // 2)
+    out = resample(AudioBuffer(x, source_hz), target_hz)
+    expected = reference_resample(x, source_hz, target_hz)
+    assert out.sample_rate_hz == target_hz
+    assert len(out.samples) == len(expected)
+    assert np.max(np.abs(out.samples - expected)) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 17, 31, 32, 33])
+@pytest.mark.parametrize("source_hz, target_hz", [(44100, 16000), (16000, 20000), (48000, 8000)])
+def test_resample_short_inputs_match_reference(n, source_hz, target_hz):
+    # Fewer samples than taps; n = 1..3 include zero and single outputs.
+    x = np.random.default_rng(n).standard_normal(n)
+    out = resample(AudioBuffer(x, source_hz), target_hz).samples
+    expected = reference_resample(x, source_hz, target_hz)
+    assert len(out) == len(expected) == int(round(n * target_hz / source_hz))
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(min_value=0, max_value=3000),
+    source_hz=st.integers(min_value=8000, max_value=48000),
+    target_hz=st.integers(min_value=8000, max_value=48000),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_resample_matches_reference_property(n, source_hz, target_hz, seed):
+    x = np.random.default_rng(seed).uniform(-1.0, 1.0, n)
+    out = resample(AudioBuffer(x, source_hz), target_hz).samples
+    if source_hz == target_hz:
+        np.testing.assert_array_equal(out, x)
+        return
+    expected = reference_resample(x, source_hz, target_hz)
+    assert len(out) == len(expected)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-9)
+
+
+def test_resample_rejects_fractional_rate():
+    with pytest.raises(ConfigError):
+        resample(AudioBuffer(np.zeros(100), 16000), 22050.5)
+
+
+def test_resample_peak_memory_is_a_few_outputs():
+    # 10 s at 44.1 kHz -> 16 kHz: the padded input (2.8x the output) and
+    # fixed-size chunk temporaries, never temporaries that grow with the
+    # signal (a 65536 x 32 block of weights alone is 13x this output).
+    buf = AudioBuffer(np.random.default_rng(3).standard_normal(441000), 44100)
+    tracemalloc.start()
+    try:
+        out = resample(buf, 16000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * out.samples.nbytes
+
+
+def test_load_wav_missing_file_names_path(tmp_path):
+    path = tmp_path / "absent.wav"
+    with pytest.raises(AudioFormatError, match="absent.wav"):
+        load_wav(path)
 
 
 def test_frame_count_formula():

@@ -159,3 +159,11 @@ def test_apply_augmentation_dispatch():
     assert len(slower.samples) > len(audio.samples)
     with pytest.raises(ConfigError):
         apply_augmentation(audio, "reverb", "", 0)
+
+
+def test_named_noise_without_source_raises():
+    audio = _tone()
+    with pytest.raises(ConfigError, match="babble"):
+        apply_augmentation(audio, "noise", "babble@10", 3)
+    with pytest.raises(ConfigError, match="babble"):
+        apply_augmentation(audio, "noise", "babble@10", 3, {"babble": None})

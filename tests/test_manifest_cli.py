@@ -2,8 +2,10 @@ import os
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 
-from ohm import cli, manifest, nn
+from ohm import augment, cli, manifest, nn
+from ohm.audio_io import AudioBuffer, load_wav, write_wav
 from ohm.errors import ManifestError
 
 import synthcorpus
@@ -72,6 +74,29 @@ def test_manifest_bad_boolean(tmp_path):
     path.write_text("audio_path\tspeaker_id\tutterance_id\tis_oral\na.wav\ts\tu\tmaybe\n")
     with pytest.raises(ManifestError):
         manifest.read_manifest(path)
+
+
+def test_manifest_bad_seed_names_file_line(tmp_path):
+    path = tmp_path / "m.tsv"
+    path.write_text(
+        "# provenance\n# noise_source babble=b.wav\n"
+        "audio_path\tspeaker_id\tutterance_id\taug_seed\n"
+        "a.wav\ts\tu1\t3\n"
+        "a.wav\ts\tu2\tx1\n"
+    )
+    with pytest.raises(ManifestError, match=r"m\.tsv:5: aug_seed"):
+        manifest.read_manifest(path)
+
+
+def test_noise_header_roundtrip(tmp_path):
+    path = tmp_path / "m.tsv"
+    noise = {"babble": "noise/babble.wav", "factory": "/data/f=1.wav"}
+    manifest.write_manifest(path, [], header_comment="run\n" + manifest.noise_header(noise))
+    assert manifest.read_noise_paths(path) == noise
+    assert manifest.read_manifest(path) == []
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write("# noise_source late=after_the_columns.wav\n")
+    assert manifest.read_noise_paths(path) == noise  # only the leading header counts
 
 
 @pytest.fixture(scope="module")
@@ -236,3 +261,83 @@ def test_cli_error_exit(tmp_path, capsys):
         assert rc != 0
         raise SystemExit(rc)
     assert not model.exists()
+
+
+def _noise_wav(tmp_path, seconds=2.0):
+    path = tmp_path / "babble.wav"
+    rng = np.random.default_rng(11)
+    write_wav(path, AudioBuffer(0.3 * rng.uniform(-1.0, 1.0, int(16000 * seconds)), 16000))
+    return path
+
+
+def _ratings(tmp_path):
+    path = tmp_path / "ratings.csv"
+    path.write_text("speaker_id,rater_1,rater_2\nspk000,0,1\nspk001,2,2\nspk002,3,4\n")
+    return path
+
+
+def test_augment_named_noise_realizes_excerpt_of_file(tiny_corpus, tmp_path):
+    manifest_path, _ = tiny_corpus
+    noise_path = _noise_wav(tmp_path)
+    out = tmp_path / "aug.tsv"
+    assert cli.main(["augment", str(manifest_path), str(out), "--noise", f"babble={noise_path}",
+                     "--snr", "10", "--rate", "0.9", "--vtlp", "1.1"]) == 0
+    assert manifest.read_noise_paths(out) == {"babble": str(noise_path)}
+    sources = augment.load_noise_sources(manifest.read_noise_paths(out))
+    row = next(r for r in manifest.read_manifest(out) if r["aug_param"] == "babble@10")
+    clean = load_wav(row["audio_path"])
+    mixed = augment.apply_augmentation(clean, row["aug_type"], row["aug_param"],
+                                       row["aug_seed"], sources)
+    realized = mixed.samples - clean.samples
+    excerpts = sliding_window_view(sources["babble"].samples, len(realized))
+    fit = (excerpts @ realized) / (np.linalg.norm(excerpts, axis=1) * np.linalg.norm(realized))
+    assert np.max(fit) > 1.0 - 1e-9  # a scaled excerpt of the file, not generated noise
+
+
+def test_train_regressor_uses_recorded_noise_file(tiny_corpus, tmp_path, capsys):
+    manifest_path, _ = tiny_corpus
+    noise_path = _noise_wav(tmp_path)
+    aug = tmp_path / "aug.tsv"
+    assert cli.main(["augment", str(manifest_path), str(aug), "--noise", f"babble={noise_path}",
+                     "--snr", "10", "--rate", "0.9", "--vtlp", "1.1"]) == 0
+    results = tmp_path / "loso.csv"
+    args = ["train-regressor", str(aug), str(_ratings(tmp_path)), str(results),
+            "--epochs", "1", "--seed", "2"]
+    assert cli.main(args) == 0
+    assert len(results.read_text().splitlines()) == 2 + 3
+    results.unlink()
+    noise_path.unlink()
+    with pytest.warns(UserWarning, match="babble"):
+        assert cli.main(args) == 1
+    err = capsys.readouterr().err
+    assert "babble" in err and "Traceback" not in err
+    assert not results.exists()
+
+
+def test_augment_rejects_named_noise_without_path(tiny_corpus, tmp_path):
+    manifest_path, _ = tiny_corpus
+    out = tmp_path / "aug.tsv"
+    assert cli.main(["augment", str(manifest_path), str(out), "--noise", "babble"]) == 1
+    assert not out.exists()
+
+
+def test_score_missing_wav_fails_cleanly(tiny_corpus, tiny_model, tmp_path, capsys):
+    _, rows = tiny_corpus
+    bad = tmp_path / "m.tsv"
+    manifest.write_manifest(bad, [rows[0], {**rows[1], "audio_path": str(tmp_path / "gone.wav")}])
+    scores = tmp_path / "scores.csv"
+    assert cli.main(["score", str(bad), str(tiny_model), str(scores)]) == 1
+    err = capsys.readouterr().err
+    assert "gone.wav" in err and "Traceback" not in err
+    assert not scores.exists()
+
+
+def test_score_non_integer_aug_seed_fails_cleanly(tiny_corpus, tiny_model, tmp_path, capsys):
+    _, rows = tiny_corpus
+    bad = tmp_path / "m.tsv"
+    manifest.write_manifest(bad, [rows[0], {**rows[1], "aug_seed": "x1"}])
+    scores = tmp_path / "scores.csv"
+    assert cli.main(["score", str(bad), str(tiny_model), str(scores)]) == 1
+    err = capsys.readouterr().err
+    assert "m.tsv:3" in err and "x1" in err and "Traceback" not in err
+    assert not scores.exists()
