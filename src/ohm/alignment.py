@@ -5,13 +5,12 @@ A converter from Praat TextGrid "phones" interval tiers is provided.
 """
 
 import re
-import warnings
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import AlignmentParseError, AlignmentValidationError, ConfigError
+from .errors import AlignmentParseError, AlignmentValidationError, open_input
 
 
 class PhoneClass(Enum):
@@ -76,7 +75,7 @@ def is_silence(label):
 def parse_alignment(path):
     """Parse a start/end/phone TSV into a sorted, validated segment list."""
     segments = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, AlignmentParseError, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
             if not line.strip() or line.startswith("#"):
@@ -128,41 +127,6 @@ def _nasal_adjacent(segments, i):
     return False
 
 
-def classify_segments(segments, nv_fraction=0.3, seed=42):
-    """Assign each segment one of NC/OC/NV/OV/Excluded.
-
-    Among vowels adjacent to a nasal consonant, a seeded uniformly random
-    nv_fraction become NV; the unselected remainder are Excluded (they are
-    neither clean oral vowels nor certainly nasalized enough to train on).
-    Sampling is over the full candidate list, so with the same seed the
-    labeling is reproducible and the NV count equals round(nv_fraction * M).
-    """
-    if not 0.0 <= nv_fraction <= 1.0:
-        raise ConfigError(f"nv_fraction must be in [0, 1], got {nv_fraction}")
-
-    known = NASAL_CONSONANTS | ORAL_CONSONANTS | VOWELS | KNOWN_EXCLUDED
-    unknown = {
-        normalize_phone(seg.phone)
-        for seg in segments
-        if normalize_phone(seg.phone) not in known and not is_silence(seg.phone)
-    }
-    if unknown:
-        warnings.warn(f"unknown phone labels treated as Excluded: {sorted(unknown)}")
-
-    labels = [_base_class(seg.phone) for seg in segments]
-    candidates = [
-        i
-        for i, seg in enumerate(segments)
-        if labels[i] is PhoneClass.OV and _nasal_adjacent(segments, i)
-    ]
-    rng = np.random.default_rng(seed)
-    n_select = int(round(nv_fraction * len(candidates)))
-    chosen = set(np.asarray(rng.permutation(len(candidates))[:n_select]).tolist())
-    for rank, i in enumerate(candidates):
-        labels[i] = PhoneClass.NV if rank in chosen else PhoneClass.EXCLUDED
-    return list(zip(segments, labels))
-
-
 def label_frames(classified, frame_times_s):
     """Class label per frame: the class of the segment containing the frame center.
 
@@ -185,7 +149,7 @@ _TG_FLOAT = r"[-+]?\d+(?:\.\d+)?(?:[eE][-+]?\d+)?"
 
 def textgrid_to_segments(path, tier_name="phones"):
     """Extract (start, end, label) intervals from a Praat TextGrid interval tier."""
-    with open(path, encoding="utf-8", errors="replace") as fh:
+    with open_input(path, AlignmentParseError, encoding="utf-8", errors="replace") as fh:
         text = fh.read()
     tiers = re.split(r'item\s*\[\d+\]\s*:', text)
     for tier in tiers[1:]:

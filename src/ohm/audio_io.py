@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import AudioFormatError, AudioParseError, ConfigError, EmptyInputError
+from .errors import AudioFormatError, AudioParseError, ConfigError, EmptyInputError, open_input
 
 DEFAULT_SAMPLE_RATE = 16000
 WINDOW_MS = 20.0
@@ -79,11 +79,8 @@ def load_wav(path):
     Chunks other than `fmt ` and `data` are skipped. A file that cannot be
     read raises AudioFormatError naming the path.
     """
-    try:
-        with open(path, "rb") as fh:
-            raw = fh.read()
-    except OSError as exc:
-        raise AudioFormatError(f"{path}: cannot read: {exc.strerror or exc}") from exc
+    with open_input(path, AudioFormatError, mode="rb") as fh:
+        raw = fh.read()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise AudioFormatError(f"{path}: not a RIFF/WAVE file")
 
@@ -171,13 +168,14 @@ def _kaiser(x, half_width):
 
 
 def _phase_table(up, cutoff):
-    """Windowed-sinc taps for the `up` fractional phases p/up, one row each.
+    """Windowed-sinc taps for the fractional phases p/up, p = 0 .. up, one row each.
 
     Row p holds the weights of input offsets -half+1 .. half relative to
-    floor(t) for an output at t = floor(t) + p/up.
+    floor(t) for an output at t = floor(t) + p/up. Row `up` (fraction 1)
+    serves outputs read from one sample early; see resample.
     """
     half = _RESAMPLE_TAPS // 2
-    x = np.arange(-half + 1, half + 1)[None, :] - np.arange(up)[:, None] / up
+    x = np.arange(-half + 1, half + 1)[None, :] - np.arange(up + 1)[:, None] / up
     return cutoff * np.sinc(cutoff * x) * _kaiser(x, half)
 
 
@@ -185,11 +183,12 @@ def resample(buf, target_hz):
     """Band-limited resampling by windowed-sinc interpolation (polyphase).
 
     The rate ratio reduces to up/down = target/source in lowest terms, so
-    output j sits at input position j*down/up and uses one of only `up`
-    fractional phases. Their 32-tap Kaiser-sinc weights (beta=8, cutoff
-    min(1, up/down)) are computed once per call, up x 32 kernel evaluations
-    instead of one set per output; each output is then the dot product of
-    its 32 input samples with its phase's row, evaluated in vectorised chunks.
+    output j sits at input position j*down/up and uses one of only up + 1
+    fractional phases p/up. Their 32-tap Kaiser-sinc weights (beta=8, cutoff
+    min(1, up/down)) are computed once per call, (up + 1) x 32 kernel
+    evaluations instead of one set per output; each output is then the dot
+    product of its 32 input samples with its phase's row, evaluated in
+    vectorised chunks.
 
     Both rates must be whole numbers of Hz. Output length is
     round(n * target/source). When target equals the source rate the buffer
@@ -212,12 +211,18 @@ def resample(buf, target_hz):
     table = _phase_table(up, min(1.0, up / down))
     half = _RESAMPLE_TAPS // 2
 
-    # Output j reads padded[base + 2 : base + 2 + taps], base = floor(j*down/up).
+    # Output j reads padded[base + 2 : base + 2 + taps]. base is the floor of
+    # the float position j * source/target, as in the per-sample resampler;
+    # where that lands just below a whole position the phase is `up`. When
+    # downsampling that sum differs from the one at base + 1, phase 0, as the
+    # kernel does not vanish at the window's edge.
     padded = np.concatenate([np.zeros(half + 1), src, np.zeros(half + 1)])
     windows = sliding_window_view(padded, _RESAMPLE_TAPS)
     out = np.empty(n_out)
     for start in range(0, n_out, _RESAMPLE_CHUNK):
-        base, phase = np.divmod(np.arange(start, min(start + _RESAMPLE_CHUNK, n_out)) * down, up)
+        j = np.arange(start, min(start + _RESAMPLE_CHUNK, n_out))
+        base = np.floor(j / (target_hz / source_hz)).astype(np.int64)
+        phase = j * down - base * up
         out[start : start + len(base)] = np.einsum("ij,ij->i", windows[base + 2], table[phase])
     return AudioBuffer(out, target_hz)
 

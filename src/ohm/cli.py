@@ -13,9 +13,9 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import __version__, alignment, augment, features, manifest, nn, pipeline, regressor
-from . import scoring, stats
-from .errors import ConfigError, ManifestError, OhmError
+from . import __version__, alignment, audio_io, augment, features, manifest, nn, pipeline
+from . import regressor, scoring, stats
+from .errors import ConfigError, ManifestError, OhmError, open_input
 from .preprocess import PreprocessConfig
 
 
@@ -45,7 +45,7 @@ def _write_csv(path, header_comment, columns, rows):
 
 def _read_config_file(path):
     values = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_input(path, ConfigError, encoding="utf-8") as fh:
         for line in fh:
             line = line.strip()
             if not line or line.startswith("#"):
@@ -63,7 +63,10 @@ def _setting(args, config, name, cast, default):
     if flag is not None:
         return flag
     if name in config:
-        return cast(config[name])
+        try:
+            return cast(config[name])
+        except ValueError:
+            raise ConfigError(f"config {name}={config[name]!r} is not {cast.__name__}") from None
     return default
 
 
@@ -118,8 +121,6 @@ def cmd_score(args, config):
     rows = manifest.read_manifest(args.manifest)
     rows = sorted(rows, key=lambda r: (r["speaker_id"], r["utterance_id"]))
 
-    from . import audio_io
-
     def score_row(row):
         buf = audio_io.load_wav(row["audio_path"])
         return scoring.score_utterance(
@@ -154,133 +155,36 @@ def cmd_score(args, config):
 
 
 def _read_scores_csv(path):
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(line for line in fh if not line.startswith("#"))
-        for row in reader:
-            rows.append(
-                {
-                    "speaker_id": row["speaker_id"],
-                    "utterance_id": row["utterance_id"],
-                    "sentence_ohm": float(row["sentence_ohm"]),
-                }
-            )
-    return rows
+    columns, table = manifest.read_table(path)
+    missing = {"speaker_id", "utterance_id", "sentence_ohm"} - set(columns)
+    if missing:
+        raise ManifestError(f"{path}: missing columns {sorted(missing)}")
+    return [
+        {
+            "speaker_id": row["speaker_id"],
+            "utterance_id": row["utterance_id"],
+            "sentence_ohm": manifest.parse_number(
+                row["sentence_ohm"], float, f"{path}:{lineno}", "sentence_ohm"
+            ),
+        }
+        for lineno, row in table
+    ]
 
 
 def cmd_evaluate(args, config):
     seed = _setting(args, config, "seed", int, 42)
-    mfcc_cfg = features.MfccConfig()
-    provenance = _provenance(seed, mfcc_cfg)
-    score_rows = _read_scores_csv(args.scores)
-    records = stats.load_ratings_csv(args.ratings)
-    by_speaker_truth = {r.speaker_id: r.ground_truth for r in records}
-    by_record = {r.speaker_id: r for r in records}
-
-    speakers = sorted({r["speaker_id"] for r in score_rows})
-    missing = [s for s in speakers if s not in by_speaker_truth]
-    if missing:
-        raise ManifestError(f"scored speakers missing from ratings: {missing}")
-
-    per_speaker = {
-        s: [r for r in score_rows if r["speaker_id"] == s] for s in speakers
-    }
-    speaker_ohm = {s: float(np.mean([r["sentence_ohm"] for r in rows]))
-                   for s, rows in per_speaker.items()}
-    truth = [by_speaker_truth[s] for s in speakers]
-    ohm_vec = [speaker_ohm[s] for s in speakers]
-    overall_r, overall_p = stats.pearson_r(ohm_vec, truth)
-
-    out = []
-    # per-sentence correlations across speakers
-    utterances = sorted({r["utterance_id"] for r in score_rows})
-    sentence_rows = []
-    for utt in utterances:
-        rows = [r for r in score_rows if r["utterance_id"] == utt]
-        if len(rows) < 3:
-            continue
-        r_val, p_val = stats.pearson_r(
-            [r["sentence_ohm"] for r in rows],
-            [by_speaker_truth[r["speaker_id"]] for r in rows],
-        )
-        sentence_rows.append((utt, len(rows), f"{r_val:.6f}", f"{p_val:.6g}"))
-    path = os.path.join(args.out_dir, "per_sentence.csv")
-    _write_csv(path, provenance, ["utterance_id", "n_speakers", "r", "p"], sentence_rows)
-    out.append(path)
-
-    # speaker summary
-    path = os.path.join(args.out_dir, "speaker_summary.csv")
-    _write_csv(
-        path,
-        f"{provenance} overall_r={overall_r:.6f} overall_p={overall_p:.6g}",
-        ["speaker_id", "speaker_ohm", "ground_truth"],
-        [(s, f"{speaker_ohm[s]:.10f}", f"{by_speaker_truth[s]:.6f}") for s in speakers],
+    provenance = _provenance(seed, features.MfccConfig())
+    overall_r, overall_p, tables = stats.evaluate(
+        _read_scores_csv(args.scores), stats.load_ratings_csv(args.ratings)
     )
-    out.append(path)
-
-    # rater agreement
-    aligned_records = [by_record[s] for s in speakers]
-    (inter_m, inter_s), (vs_m, vs_s) = stats.rater_stats(aligned_records, ohm_vec)
-    path = os.path.join(args.out_dir, "rater_agreement.csv")
-    _write_csv(
-        path,
-        provenance,
-        ["statistic", "mean", "std"],
-        [
-            ("inter_rater_correlation", f"{inter_m:.6f}", f"{inter_s:.6f}"),
-            ("ohm_rater_correlation", f"{vs_m:.6f}", f"{vs_s:.6f}"),
-        ],
-    )
-    out.append(path)
-
-    # split-half reliability: first half of each speaker's sentences vs the rest
-    set1, set2 = {}, {}
-    for s in speakers:
-        utts = sorted(per_speaker[s], key=lambda r: r["utterance_id"])
-        half = len(utts) // 2
-        if half == 0 or len(utts) - half == 0:
-            continue
-        set1[s] = float(np.mean([r["sentence_ohm"] for r in utts[:half]]))
-        set2[s] = float(np.mean([r["sentence_ohm"] for r in utts[half:]]))
-    split_rows = []
-    if len(set1) >= 3:
-        split_rows.append(("split_half_r", f"{stats.split_half(set1, set2):.6f}"))
-    path = os.path.join(args.out_dir, "split_half.csv")
-    _write_csv(path, provenance, ["statistic", "value"], split_rows)
-    out.append(path)
-
-    # control vs CP group comparison
-    control = [speaker_ohm[s] for s in speakers if by_record[s].cohort == "control"]
-    cp = [speaker_ohm[s] for s in speakers if by_record[s].cohort == "cp"]
-    ttest_rows = []
-    if len(control) >= 2 and len(cp) >= 2:
-        t_stat, p_val, dof = stats.welch_t(control, cp)
-        ttest_rows.append(
-            ("control_vs_cp", f"{t_stat:.6f}", f"{p_val:.6g}", f"{dof:.3f}",
-             len(control), len(cp))
-        )
-    path = os.path.join(args.out_dir, "ttest.csv")
-    _write_csv(path, provenance, ["comparison", "t", "p", "dof", "n_a", "n_b"], ttest_rows)
-    out.append(path)
-
-    # robustness to articulation errors
-    err_rows = []
-    for attr in ("pct_active_errors", "pct_passive_errors"):
-        pairs = [
-            (speaker_ohm[s], getattr(by_record[s], attr))
-            for s in speakers
-            if getattr(by_record[s], attr) is not None
-        ]
-        if len(pairs) >= 3:
-            r_val, p_val = stats.pearson_r([p[0] for p in pairs], [p[1] for p in pairs])
-            err_rows.append((f"ohm_vs_{attr}", f"{r_val:.6f}", f"{p_val:.6g}", len(pairs)))
-    path = os.path.join(args.out_dir, "error_robustness.csv")
-    _write_csv(path, provenance, ["comparison", "r", "p", "n"], err_rows)
-    out.append(path)
-
+    paths = []
+    for name, columns, rows, note in tables:
+        path = os.path.join(args.out_dir, f"{name}.csv")
+        _write_csv(path, f"{provenance} {note}" if note else provenance, columns, rows)
+        paths.append(path)
     print(f"overall r={overall_r:.4f} p={overall_p:.4g}")
-    for p in out:
-        print(f"wrote {p}")
+    for path in paths:
+        print(f"wrote {path}")
     return 0
 
 
@@ -459,9 +363,9 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
-    config = _read_config_file(args.config) if args.config else {}
     _created_outputs.clear()
     try:
+        config = _read_config_file(args.config) if args.config else {}
         return args.func(args, config)
     except OhmError as exc:
         for path in _created_outputs:

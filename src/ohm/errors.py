@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and `open_input`, which turns
+an input file that cannot be opened into one of them."""
 
 
 class OhmError(Exception):
@@ -51,3 +52,12 @@ class ManifestError(OhmError):
 
 class EmptyInputError(OhmError):
     """Input too short or empty for the requested operation."""
+
+
+def open_input(path, error, **kwargs):
+    """open(path, **kwargs) for reading; a file that cannot be opened raises
+    `error` naming the path."""
+    try:
+        return open(path, **kwargs)
+    except OSError as exc:
+        raise error(f"{path}: cannot read: {exc.strerror or exc}") from exc

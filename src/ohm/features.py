@@ -6,10 +6,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
+from . import audio_io
 from .errors import ConfigError
 
 N_STATIC = 13
-N_FEATURES = 39
 
 
 @dataclass(frozen=True)
@@ -132,3 +132,10 @@ def extract_features(frames, cfg=None, filterbank=None):
     static = compute_mfcc13(frames, cfg, filterbank=filterbank)
     vectors = append_deltas(static, cfg.delta_window)
     return FeatureSequence(vectors, frames.frame_times_s(), cfg)
+
+
+def from_audio(buf, cfg=None, filterbank=None):
+    """The audio front end: resample to audio_io.DEFAULT_SAMPLE_RATE, frame,
+    and extract MFCC-39. A supplied filterbank must be built at that rate."""
+    buf = audio_io.resample(buf, audio_io.DEFAULT_SAMPLE_RATE)
+    return extract_features(audio_io.frame_signal(buf), cfg, filterbank=filterbank)

@@ -3,7 +3,7 @@ augmentation provenance together."""
 
 import csv
 
-from .errors import ManifestError
+from .errors import ManifestError, open_input
 
 CORE_COLUMNS = ["audio_path", "alignment_path", "speaker_id", "utterance_id", "is_oral"]
 AUG_COLUMNS = ["aug_type", "aug_param", "aug_seed"]
@@ -19,18 +19,20 @@ def _parse_bool(value):
     raise ManifestError(f"not a boolean: {value!r}")
 
 
-def _parse_seed(value, where):
+def parse_number(value, cast, where, column):
+    """cast(value) for a numeric cell; a ManifestError names where (path:line)
+    and the column otherwise."""
     try:
-        return int(value or 0)
+        return cast(value)
     except ValueError:
-        raise ManifestError(f"{where}: aug_seed must be an integer, got {value!r}") from None
+        kind = "an integer" if cast is int else "a number"
+        raise ManifestError(f"{where}: {column} must be {kind}, got {value!r}") from None
 
 
-def read_manifest(path):
-    """Read a tab-separated manifest with a header row into a list of dicts."""
-    rows = []
-    seen = set()
-    kept = []  # file line number of each non-comment line, for error messages
+def read_table(path, delimiter=","):
+    """Column names and (line number, row dict) pairs of a CSV or TSV file,
+    skipping `#` comment lines; line numbers count the comment lines too."""
+    kept = []  # file line number of each non-comment line
 
     def data_lines(fh):
         for number, line in enumerate(fh, start=1):
@@ -38,30 +40,39 @@ def read_manifest(path):
                 kept.append(number)
                 yield line
 
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(data_lines(fh), delimiter="\t")
+    with open_input(path, ManifestError, newline="", encoding="utf-8") as fh:
+        reader = csv.DictReader(data_lines(fh), delimiter=delimiter)
         if reader.fieldnames is None:
-            raise ManifestError(f"{path}: empty manifest")
-        missing = {"audio_path", "speaker_id", "utterance_id"} - set(reader.fieldnames)
-        if missing:
-            raise ManifestError(f"{path}: missing columns {sorted(missing)}")
-        for raw in reader:
-            lineno = kept[reader.line_num - 1]
-            row = {
-                "audio_path": raw["audio_path"].strip(),
-                "alignment_path": (raw.get("alignment_path") or "").strip(),
-                "speaker_id": raw["speaker_id"].strip(),
-                "utterance_id": raw["utterance_id"].strip(),
-                "is_oral": _parse_bool(raw.get("is_oral") or "true"),
-                "aug_type": (raw.get("aug_type") or "none").strip() or "none",
-                "aug_param": (raw.get("aug_param") or "").strip(),
-                "aug_seed": _parse_seed(raw.get("aug_seed"), f"{path}:{lineno}"),
-            }
-            key = (row["speaker_id"], row["utterance_id"], row["aug_type"], row["aug_param"])
-            if key in seen:
-                raise ManifestError(f"{path}:{lineno}: duplicate row {key}")
-            seen.add(key)
-            rows.append(row)
+            raise ManifestError(f"{path}: empty file")
+        rows = [(kept[reader.line_num - 1], row) for row in reader]
+    return reader.fieldnames, rows
+
+
+def read_manifest(path):
+    """Read a tab-separated manifest with a header row into a list of dicts."""
+    columns, table = read_table(path, delimiter="\t")
+    missing = {"audio_path", "speaker_id", "utterance_id"} - set(columns)
+    if missing:
+        raise ManifestError(f"{path}: missing columns {sorted(missing)}")
+    rows = []
+    seen = set()
+    for lineno, raw in table:
+        row = {
+            "audio_path": raw["audio_path"].strip(),
+            "alignment_path": (raw.get("alignment_path") or "").strip(),
+            "speaker_id": raw["speaker_id"].strip(),
+            "utterance_id": raw["utterance_id"].strip(),
+            "is_oral": _parse_bool(raw.get("is_oral") or "true"),
+            "aug_type": (raw.get("aug_type") or "none").strip() or "none",
+            "aug_param": (raw.get("aug_param") or "").strip(),
+            "aug_seed": parse_number(raw.get("aug_seed") or 0, int, f"{path}:{lineno}",
+                                     "aug_seed"),
+        }
+        key = (row["speaker_id"], row["utterance_id"], row["aug_type"], row["aug_param"])
+        if key in seen:
+            raise ManifestError(f"{path}:{lineno}: duplicate row {key}")
+        seen.add(key)
+        rows.append(row)
     return rows
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alignment import PhoneClass
-from .errors import ConfigError, ModelFormatError, TrainingDivergedError
+from .errors import ConfigError, ModelFormatError, TrainingDivergedError, open_input
 
 NASALITY_LAYERS = [39, 1024, 1024, 1024, 4]
 REGRESSOR_LAYERS = [39, 512, 512, 512, 1]
@@ -276,7 +276,7 @@ def save_model(model, path):
 
 
 def load_model(path):
-    with open(path, "rb") as fh:
+    with open_input(path, ModelFormatError, mode="rb") as fh:
         raw = fh.read()
     if raw[: len(MODEL_MAGIC)] != MODEL_MAGIC:
         raise ModelFormatError(f"{path}: bad magic bytes")

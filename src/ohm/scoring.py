@@ -5,21 +5,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import audio_io, features, preprocess
+from . import features, preprocess
 from .errors import ConfigError, ModelCompatibilityError
 from .nn import forward
 
 DEFAULT_EPS = 1e-8
-
-
-@dataclass(frozen=True)
-class PosteriorFrame:
-    """Four class posteriors for one frame: nasal/oral consonant, nasalized/oral vowel."""
-
-    p_nc: float
-    p_oc: float
-    p_nv: float
-    p_ov: float
 
 
 @dataclass(frozen=True)
@@ -33,14 +23,10 @@ class OhmReport:
 def frame_ohm(posteriors, eps=DEFAULT_EPS):
     """max(ln(p_nc/p_oc), ln(p_nv/p_ov)) with posteriors clamped at eps.
 
-    Accepts a PosteriorFrame, a length-4 vector, or an (N, 4) matrix in
-    NC/OC/NV/OV order. Clamping keeps the score finite for any input in
-    [0, 1]^4.
+    Accepts a length-4 vector or an (N, 4) matrix in NC/OC/NV/OV order.
+    Clamping keeps the score finite for any input in [0, 1]^4.
     """
-    if isinstance(posteriors, PosteriorFrame):
-        p = np.array([posteriors.p_nc, posteriors.p_oc, posteriors.p_nv, posteriors.p_ov])
-    else:
-        p = np.asarray(posteriors, dtype=np.float64)
+    p = np.asarray(posteriors, dtype=np.float64)
     if eps <= 0:
         raise ConfigError("eps must be positive")
     p = np.maximum(p, eps)
@@ -83,9 +69,7 @@ def score_utterance(
 
     if preprocess_cfg is not None and preprocess_cfg.enabled:
         audio = preprocess.modify_pitch_tempo(audio, preprocess_cfg)
-    audio = audio_io.resample(audio, audio_io.DEFAULT_SAMPLE_RATE)
-    frames = audio_io.frame_signal(audio)
-    feats = features.extract_features(frames, mfcc_cfg)
+    feats = features.from_audio(audio, mfcc_cfg)
     posteriors = forward(model, feats.vectors)
     frame_scores = frame_ohm(posteriors, eps=eps)
     return OhmReport(

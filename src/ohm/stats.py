@@ -1,16 +1,17 @@
 """Evaluation statistics: Pearson correlation with significance, Welch's
-t-test, rater-agreement summaries, and split-half reliability."""
+t-test, rater-agreement summaries, split-half reliability, and the tables
+that `ohm evaluate` writes."""
 
-import csv
 import math
 import warnings
 from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.stats import t as student_t
+from scipy.special import stdtr
 
 from .errors import ConfigError, DegenerateInputError, ManifestError
+from .manifest import parse_number, read_table
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ def pearson_r(x, y):
     if abs(r) >= 1.0:
         return (1.0 if r > 0 else -1.0), 0.0
     t_stat = r * math.sqrt((n - 2) / (1.0 - r * r))
-    p = 2.0 * float(student_t.sf(abs(t_stat), n - 2))
+    p = 2.0 * float(stdtr(n - 2, -abs(t_stat)))
     return r, p
 
 
@@ -68,7 +69,7 @@ def welch_t(a, b):
         raise DegenerateInputError("both groups have zero within-group variance")
     t_stat = (float(a.mean()) - float(b.mean())) / math.sqrt(sa + sb)
     dof = (sa + sb) ** 2 / (sa**2 / (len(a) - 1) + sb**2 / (len(b) - 1))
-    p = 2.0 * float(student_t.sf(abs(t_stat), dof))
+    p = 2.0 * float(stdtr(dof, -abs(t_stat)))
     return t_stat, p, dof
 
 
@@ -142,32 +143,124 @@ def split_half(scores_set1, scores_set2):
 def load_ratings_csv(path):
     """Read a ratings CSV: speaker_id, cohort, rater_1..rater_K, and optional
     pct_active_errors / pct_passive_errors columns. Empty rater cells are NaN."""
+    columns, table = read_table(path)
+    if "speaker_id" not in columns:
+        raise ManifestError(f"{path}: missing column speaker_id")
+    rater_cols = sorted(
+        (c for c in columns if c.startswith("rater_")),
+        key=lambda c: int(c.split("_", 1)[1]),
+    )
+    if not rater_cols:
+        raise ManifestError(f"{path}: no rater_N columns found")
     records = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(row for row in fh if not row.startswith("#"))
-        if reader.fieldnames is None:
-            raise ManifestError(f"{path}: empty ratings file")
-        rater_cols = sorted(
-            (c for c in reader.fieldnames if c.startswith("rater_")),
-            key=lambda c: int(c.split("_", 1)[1]),
+    for lineno, row in table:
+        where = f"{path}:{lineno}"
+        records.append(
+            RatingRecord(
+                speaker_id=row["speaker_id"].strip(),
+                rater_scores=tuple(_number_or(row, c, where, math.nan) for c in rater_cols),
+                cohort=(row.get("cohort") or "").strip(),
+                pct_active_errors=_number_or(row, "pct_active_errors", where, None),
+                pct_passive_errors=_number_or(row, "pct_passive_errors", where, None),
+            )
         )
-        if not rater_cols:
-            raise ManifestError(f"{path}: no rater_N columns found")
-        for row in reader:
-            raters = tuple(
-                float(row[c]) if row.get(c, "").strip() else math.nan for c in rater_cols
-            )
-            def _opt(col):
-                value = row.get(col, "").strip()
-                return float(value) if value else None
-
-            records.append(
-                RatingRecord(
-                    speaker_id=row["speaker_id"].strip(),
-                    rater_scores=raters,
-                    cohort=row.get("cohort", "").strip(),
-                    pct_active_errors=_opt("pct_active_errors"),
-                    pct_passive_errors=_opt("pct_passive_errors"),
-                )
-            )
     return records
+
+
+def _number_or(row, column, where, empty):
+    """A ratings cell as a float, or `empty` when the cell is blank or absent."""
+    value = (row.get(column) or "").strip()
+    return parse_number(value, float, where, column) if value else empty
+
+
+def evaluate(score_rows, records):
+    """Sentence OHM scores against perceptual ratings.
+
+    score_rows are dicts with speaker_id, utterance_id and sentence_ohm;
+    records are RatingRecords. Returns (overall_r, overall_p, tables): the
+    Pearson correlation of speaker mean OHM with the rater mean, and six
+    (name, columns, rows, note) tables: per_sentence, speaker_summary,
+    rater_agreement, split_half, ttest and error_robustness. Rows hold the
+    cells as written to CSV; a non-empty note extends the file's header.
+    """
+    by_record = {r.speaker_id: r for r in records}
+    speakers = sorted({r["speaker_id"] for r in score_rows})
+    missing = [s for s in speakers if s not in by_record]
+    if missing:
+        raise ManifestError(f"scored speakers missing from ratings: {missing}")
+    truth = {s: by_record[s].ground_truth for s in speakers}
+    per_speaker = {s: [r for r in score_rows if r["speaker_id"] == s] for s in speakers}
+    speaker_ohm = {
+        s: float(np.mean([r["sentence_ohm"] for r in rows])) for s, rows in per_speaker.items()
+    }
+    ohm_vec = [speaker_ohm[s] for s in speakers]
+    overall_r, overall_p = pearson_r(ohm_vec, [truth[s] for s in speakers])
+
+    # per-sentence correlations across speakers
+    sentence_rows = []
+    for utt in sorted({r["utterance_id"] for r in score_rows}):
+        rows = [r for r in score_rows if r["utterance_id"] == utt]
+        if len(rows) >= 3:
+            r_val, p_val = pearson_r(
+                [r["sentence_ohm"] for r in rows], [truth[r["speaker_id"]] for r in rows]
+            )
+            sentence_rows.append((utt, len(rows), f"{r_val:.6f}", f"{p_val:.6g}"))
+
+    (inter_m, inter_s), (vs_m, vs_s) = rater_stats([by_record[s] for s in speakers], ohm_vec)
+
+    # split-half reliability: first half of each speaker's sentences vs the rest
+    set1, set2 = {}, {}
+    for s in speakers:
+        utts = sorted(per_speaker[s], key=lambda r: r["utterance_id"])
+        half = len(utts) // 2
+        if half:
+            set1[s] = float(np.mean([r["sentence_ohm"] for r in utts[:half]]))
+            set2[s] = float(np.mean([r["sentence_ohm"] for r in utts[half:]]))
+    split_rows = []
+    if len(set1) >= 3:
+        split_rows.append(("split_half_r", f"{split_half(set1, set2):.6f}"))
+
+    # control vs CP group comparison
+    control = [speaker_ohm[s] for s in speakers if by_record[s].cohort == "control"]
+    cp = [speaker_ohm[s] for s in speakers if by_record[s].cohort == "cp"]
+    ttest_rows = []
+    if len(control) >= 2 and len(cp) >= 2:
+        t_stat, p_val, dof = welch_t(control, cp)
+        ttest_rows.append(
+            ("control_vs_cp", f"{t_stat:.6f}", f"{p_val:.6g}", f"{dof:.3f}",
+             len(control), len(cp))
+        )
+
+    # robustness to articulation errors
+    err_rows = []
+    for attr in ("pct_active_errors", "pct_passive_errors"):
+        pairs = [
+            (speaker_ohm[s], getattr(by_record[s], attr))
+            for s in speakers
+            if getattr(by_record[s], attr) is not None
+        ]
+        if len(pairs) >= 3:
+            r_val, p_val = pearson_r([p[0] for p in pairs], [p[1] for p in pairs])
+            err_rows.append((f"ohm_vs_{attr}", f"{r_val:.6f}", f"{p_val:.6g}", len(pairs)))
+
+    return overall_r, overall_p, [
+        ("per_sentence", ("utterance_id", "n_speakers", "r", "p"), sentence_rows, ""),
+        (
+            "speaker_summary",
+            ("speaker_id", "speaker_ohm", "ground_truth"),
+            [(s, f"{speaker_ohm[s]:.10f}", f"{truth[s]:.6f}") for s in speakers],
+            f"overall_r={overall_r:.6f} overall_p={overall_p:.6g}",
+        ),
+        (
+            "rater_agreement",
+            ("statistic", "mean", "std"),
+            [
+                ("inter_rater_correlation", f"{inter_m:.6f}", f"{inter_s:.6f}"),
+                ("ohm_rater_correlation", f"{vs_m:.6f}", f"{vs_s:.6f}"),
+            ],
+            "",
+        ),
+        ("split_half", ("statistic", "value"), split_rows, ""),
+        ("ttest", ("comparison", "t", "p", "dof", "n_a", "n_b"), ttest_rows, ""),
+        ("error_robustness", ("comparison", "r", "p", "n"), err_rows, ""),
+    ]

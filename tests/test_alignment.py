@@ -4,14 +4,15 @@ import pytest
 from ohm.alignment import (
     AlignmentSegment,
     PhoneClass,
-    classify_segments,
     label_frames,
     normalize_phone,
     parse_alignment,
     textgrid_to_segments,
     write_alignment_tsv,
 )
+from ohm.audio_io import AudioBuffer, write_wav
 from ohm.errors import AlignmentParseError, AlignmentValidationError, ConfigError
+from ohm.pipeline import _classify_pooled, build_nasality_dataset
 
 
 def _seg(phone, start, end):
@@ -53,19 +54,19 @@ def test_normalize_strips_stress():
 
 def test_vowels_around_nasal_become_nv():
     segs = [_seg("OW", 0.0, 0.1), _seg("N", 0.1, 0.2), _seg("IY", 0.2, 0.3)]
-    classified = dict((s.phone, c) for s, c in classify_segments(segs, nv_fraction=1.0, seed=0))
+    classified = dict((s.phone, c) for s, c in _classify_pooled([segs], 1.0, 0)[0])
     assert classified == {"OW": PhoneClass.NV, "N": PhoneClass.NC, "IY": PhoneClass.NV}
 
 
 def test_oral_context_stays_oral():
     segs = [_seg("AE", 0.0, 0.1), _seg("T", 0.1, 0.2)]
-    classified = dict((s.phone, c) for s, c in classify_segments(segs, nv_fraction=1.0, seed=0))
+    classified = dict((s.phone, c) for s, c in _classify_pooled([segs], 1.0, 0)[0])
     assert classified == {"AE": PhoneClass.OV, "T": PhoneClass.OC}
 
 
 def test_nv_fraction_zero():
     segs = [_seg("OW", 0.0, 0.1), _seg("N", 0.1, 0.2)]
-    classes = [c for _, c in classify_segments(segs, nv_fraction=0.0, seed=0)]
+    classes = [c for _, c in _classify_pooled([segs], 0.0, 0)[0]]
     assert PhoneClass.NV not in classes
     # the unselected nasal-adjacent vowel is excluded, not oral
     assert classes[0] is PhoneClass.EXCLUDED
@@ -73,7 +74,7 @@ def test_nv_fraction_zero():
 
 def test_nv_fraction_out_of_range():
     with pytest.raises(ConfigError):
-        classify_segments([], nv_fraction=1.5, seed=0)
+        _classify_pooled([[]], 1.5, 0)
 
 
 def test_nv_count_matches_round():
@@ -84,7 +85,7 @@ def test_nv_count_matches_round():
         segs.append(_seg("AA", t, t + 0.1))
         segs.append(_seg("M", t + 0.1, t + 0.2))
         t += 0.2
-    classified = classify_segments(segs, nv_fraction=0.3, seed=int(rng.integers(1 << 30)))
+    classified = _classify_pooled([segs], 0.3, int(rng.integers(1 << 30)))[0]
     nv = sum(1 for _, c in classified if c is PhoneClass.NV)
     assert nv == round(0.3 * 40)
 
@@ -96,33 +97,33 @@ def test_classify_reproducible():
         segs.append(_seg("AA", t, t + 0.1))
         segs.append(_seg("N", t + 0.1, t + 0.2))
         t += 0.2
-    a = classify_segments(segs, nv_fraction=0.5, seed=9)
-    b = classify_segments(segs, nv_fraction=0.5, seed=9)
+    a = _classify_pooled([segs], 0.5, 9)[0]
+    b = _classify_pooled([segs], 0.5, 9)[0]
     assert [c for _, c in a] == [c for _, c in b]
 
 
 def test_short_silence_keeps_adjacency():
     segs = [_seg("AA", 0.0, 0.1), _seg("sil", 0.1, 0.13), _seg("N", 0.13, 0.2)]
-    classified = classify_segments(segs, nv_fraction=1.0, seed=0)
+    classified = _classify_pooled([segs], 1.0, 0)[0]
     assert classified[0][1] is PhoneClass.NV
 
 
 def test_long_silence_breaks_adjacency():
     segs = [_seg("AA", 0.0, 0.1), _seg("sil", 0.1, 0.2), _seg("N", 0.2, 0.3)]
-    classified = classify_segments(segs, nv_fraction=1.0, seed=0)
+    classified = _classify_pooled([segs], 1.0, 0)[0]
     assert classified[0][1] is PhoneClass.OV
 
 
 def test_excluded_inventory():
     segs = [_seg("W", 0.0, 0.1), _seg("TH", 0.1, 0.2), _seg("sil", 0.2, 0.3)]
-    classes = [c for _, c in classify_segments(segs, seed=0)]
+    classes = [c for _, c in _classify_pooled([segs], 0.3, 0)[0]]
     assert classes == [PhoneClass.EXCLUDED] * 3
 
 
 def test_unknown_phone_warns():
     segs = [_seg("QQ", 0.0, 0.1)]
     with pytest.warns(UserWarning, match="QQ"):
-        classes = [c for _, c in classify_segments(segs, seed=0)]
+        classes = [c for _, c in _classify_pooled([segs], 0.3, 0)[0]]
     assert classes == [PhoneClass.EXCLUDED]
 
 
@@ -179,3 +180,21 @@ def test_textgrid_missing_tier(tmp_path):
     path.write_text('item [1]:\nclass = "IntervalTier"\nname = "words"\n')
     with pytest.raises(AlignmentParseError):
         textgrid_to_segments(path)
+
+
+def test_pooled_sampling_matches_round_over_corpus():
+    pairs = [[_seg("AA", 0.2 * k, 0.2 * k + 0.1), _seg("M", 0.2 * k + 0.1, 0.2 * k + 0.2)]
+             for k in range(3)]
+    utterances = [sum(pairs[:n], []) for n in (1, 2, 3)]  # 1 + 2 + 3 = 6 candidates
+    classified = _classify_pooled(utterances, 0.5, 4)
+    assert sum(c is PhoneClass.NV for utt in classified for _, c in utt) == 3
+
+
+def test_training_dataset_warns_on_unknown_phone(tmp_path):
+    wav, tsv = tmp_path / "u.wav", tmp_path / "u.tsv"
+    write_wav(wav, AudioBuffer(0.1 * np.random.default_rng(0).standard_normal(8000), 16000))
+    write_alignment_tsv(tsv, [_seg("N", 0.0, 0.1), _seg("AA", 0.1, 0.3), _seg("QQ", 0.3, 0.5)])
+    row = {"audio_path": str(wav), "alignment_path": str(tsv), "utterance_id": "u"}
+    with pytest.warns(UserWarning, match="QQ"):
+        _, y = build_nasality_dataset([row], nv_fraction=1.0, seed=0)
+    assert len(y) > 0

@@ -121,7 +121,8 @@ def test_resample_idempotent_at_target_rate():
 
 @pytest.mark.parametrize(
     "source_hz, target_hz",
-    [(16000, 20000), (44100, 55125), (44100, 16000), (48000, 16000), (22050, 27562)],
+    [(16000, 20000), (44100, 55125), (44100, 16000), (48000, 16000), (22050, 27562),
+     (13280, 8000)],
 )
 def test_resample_matches_reference(source_hz, target_hz):
     x = np.random.default_rng(source_hz + target_hz).standard_normal(source_hz // 2)

@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from ohm.audio_io import AudioBuffer, frame_signal
+from ohm.audio_io import AudioBuffer, frame_signal, resample
 from ohm.errors import ConfigError
 from ohm.features import (
     MfccConfig,
     append_deltas,
     compute_mfcc13,
     extract_features,
+    from_audio,
     hz_to_mel,
     mel_filterbank,
     mel_to_hz,
@@ -129,3 +130,11 @@ def test_frame_times_increase_by_hop():
 def test_config_hash_stability():
     assert MfccConfig().hash32() == MfccConfig().hash32()
     assert MfccConfig().hash32() != MfccConfig(n_mels=41).hash32()
+
+
+def test_from_audio_is_resample_frame_extract():
+    buf = AudioBuffer(0.1 * np.random.default_rng(4).standard_normal(11025), 22050)
+    got = from_audio(buf, CFG)
+    want = extract_features(frame_signal(resample(buf, 16000)), CFG)
+    np.testing.assert_array_equal(got.vectors, want.vectors)
+    np.testing.assert_array_equal(got.frame_times_s, want.frame_times_s)

@@ -341,3 +341,106 @@ def test_score_non_integer_aug_seed_fails_cleanly(tiny_corpus, tiny_model, tmp_p
     err = capsys.readouterr().err
     assert "m.tsv:3" in err and "x1" in err and "Traceback" not in err
     assert not scores.exists()
+
+
+def _fails_cleanly(capsys, argv, *needles):
+    """The command exits 1 with an `error:` line naming each needle and no traceback."""
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    for needle in needles:
+        assert needle in err
+
+
+def test_score_missing_model_fails_cleanly(tiny_corpus, tmp_path, capsys):
+    manifest_path, _ = tiny_corpus
+    scores = tmp_path / "scores.csv"
+    _fails_cleanly(capsys, ["score", str(manifest_path), str(tmp_path / "missing.bin"),
+                            str(scores)], "missing.bin")
+    assert not scores.exists()
+
+
+def test_score_missing_manifest_fails_cleanly(tiny_model, tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    _fails_cleanly(capsys, ["score", str(tmp_path / "missing.tsv"), str(tiny_model),
+                            str(scores)], "missing.tsv")
+    assert not scores.exists()
+
+
+def test_train_missing_alignment_fails_cleanly(tiny_corpus, tmp_path, capsys):
+    _, rows = tiny_corpus
+    bad = tmp_path / "m.tsv"
+    gone = str(tmp_path / "gone.tsv")
+    manifest.write_manifest(bad, [rows[0], {**rows[1], "alignment_path": gone}])
+    model = tmp_path / "model.bin"
+    _fails_cleanly(capsys, ["train-nasality", str(bad), str(model), "--epochs", "1"], "gone.tsv")
+    assert not model.exists()
+
+
+@pytest.mark.parametrize("nv_fraction", ["-0.5", "1.5"])
+def test_train_rejects_nv_fraction_outside_unit_interval(tiny_corpus, tmp_path, capsys,
+                                                         nv_fraction):
+    manifest_path, _ = tiny_corpus
+    model = tmp_path / "model.bin"
+    _fails_cleanly(capsys, ["train-nasality", str(manifest_path), str(model), "--epochs", "1",
+                            "--nv-fraction", nv_fraction], "nv_fraction", nv_fraction)
+    assert not model.exists()
+    assert not (tmp_path / "model.bin.losses.csv").exists()
+
+
+def _scores_csv(tiny_corpus, tiny_model, tmp_path):
+    manifest_path, _ = tiny_corpus
+    scores = tmp_path / "scores.csv"
+    assert cli.main(["score", str(manifest_path), str(tiny_model), str(scores)]) == 0
+    return scores
+
+
+def test_evaluate_non_numeric_rater_cell_fails_cleanly(tiny_corpus, tiny_model, tmp_path,
+                                                        capsys):
+    scores = _scores_csv(tiny_corpus, tiny_model, tmp_path)
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("speaker_id,rater_1,rater_2\nspk000,0,1\nspk001,abc,2\nspk002,3,4\n")
+    out_dir = tmp_path / "eval"
+    out_dir.mkdir()
+    _fails_cleanly(capsys, ["evaluate", str(scores), str(ratings), str(out_dir)],
+                   "ratings.csv:3", "rater_1", "abc")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_evaluate_non_numeric_score_fails_cleanly(tiny_corpus, tiny_model, tmp_path, capsys):
+    scores = _scores_csv(tiny_corpus, tiny_model, tmp_path)
+    lines = scores.read_text().splitlines()
+    fields = lines[3].split(",")
+    lines[3] = ",".join(fields[:3] + ["n/a"])
+    scores.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "eval"
+    out_dir.mkdir()
+    _fails_cleanly(capsys, ["evaluate", str(scores), str(_ratings(tmp_path)), str(out_dir)],
+                   "scores.csv:4", "sentence_ohm", "n/a")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_evaluate_scores_missing_column_fails_cleanly(tmp_path, capsys):
+    scores = tmp_path / "scores.csv"
+    scores.write_text("speaker_id,utterance_id,n_frames\nspk000,u,10\n")
+    out_dir = tmp_path / "eval"
+    out_dir.mkdir()
+    _fails_cleanly(capsys, ["evaluate", str(scores), str(_ratings(tmp_path)), str(out_dir)],
+                   "sentence_ohm")
+    assert list(out_dir.iterdir()) == []
+
+
+def test_config_file_bad_line_fails_cleanly(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("seed=5\ngarbage\n")
+    _fails_cleanly(capsys, ["--config", str(cfg), "gradcheck"], "bad.cfg", "garbage")
+
+
+def test_config_file_missing_fails_cleanly(tmp_path, capsys):
+    _fails_cleanly(capsys, ["--config", str(tmp_path / "none.cfg"), "gradcheck"], "none.cfg")
+
+
+def test_config_file_non_numeric_value_fails_cleanly(tmp_path, capsys):
+    cfg = tmp_path / "ohm.cfg"
+    cfg.write_text("seed=abc\n")
+    _fails_cleanly(capsys, ["--config", str(cfg), "gradcheck"], "seed", "abc")

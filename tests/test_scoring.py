@@ -7,11 +7,11 @@ from ohm.audio_io import AudioBuffer
 from ohm.errors import ConfigError, EmptyInputError, ModelCompatibilityError
 from ohm.features import MfccConfig
 from ohm.nn import init_model
-from ohm.scoring import PosteriorFrame, aggregate_mean, frame_ohm, score_utterance
+from ohm.scoring import aggregate_mean, frame_ohm, score_utterance
 
 
 def test_uniform_posteriors_zero():
-    assert frame_ohm(PosteriorFrame(0.25, 0.25, 0.25, 0.25)) == 0.0
+    assert frame_ohm([0.25] * 4) == 0.0
 
 
 def test_dominant_nasal_consonant():
